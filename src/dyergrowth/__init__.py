@@ -25,6 +25,7 @@ from .growth import (
     pd_series,
     spherical_growth,
     sphere_sizes,
+    spherical_subset_growth,
     subset_recursion_growth,
 )
 from .oracle import CensusReport, Unsupported, bfs_census, build_oracle, canonicalize
@@ -64,6 +65,7 @@ __all__ = [
     "solomon_growth",
     "spherical_growth",
     "sphere_sizes",
+    "spherical_subset_growth",
     "subset_recursion_growth",
     "to_diagram",
 ]

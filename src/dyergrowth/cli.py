@@ -19,10 +19,10 @@ from .growth import (
     GrowthEngine,
     amalgam_growth,
     bx_series,
-    graph_product_check,
     growth,
     pd_series,
     sphere_sizes,
+    spherical_subset_growth,
     subset_recursion_growth,
 )
 from .ratfun import RationalFunction, format_terms
@@ -211,14 +211,11 @@ def _cmd_check(args, out, err) -> int:
     else:
         failures.append(f"strategies disagree: subset {sub}, amalgam {am}")
 
-    if all(label == 2 for _, label in graph.edges()):
-        gp = graph_product_check(graph)
-        if gp == am:
-            print("graph product formula: OK", file=out)
-        else:
-            failures.append(f"graph product formula disagrees: {gp}")
+    closed = spherical_subset_growth(graph)
+    if closed == am:
+        print("spherical-subset sum: OK", file=out)
     else:
-        print("graph product formula: n/a (labels above 2)", file=out)
+        failures.append(f"spherical-subset sum disagrees: {closed}")
 
     report = graph.classify()
     n = len(graph)

@@ -32,6 +32,7 @@ from dyergrowth.growth import (
     graph_product_check,
     growth,
     pd_series,
+    spherical_subset_growth,
 )
 from dyergrowth.oracle import (
     CyclicGraphProduct,
@@ -135,12 +136,16 @@ def test_criterion_3_strategy_equivalence(exhaustive, cache):
 
 
 def test_criterion_4_graph_product_agreement(exhaustive, cache):
-    with criterion(4, "clique formula on the all-label-2 sublocus"):
+    with criterion(4, "spherical-subset sum, clique formula on the all-label-2 sublocus"):
         checked = 0
         for graph in exhaustive:
+            entry = cache.entry(graph)
+            if "spherical_subset" not in entry:
+                entry["spherical_subset"] = spherical_subset_growth(entry["graph"])
+            assert entry["spherical_subset"] == entry["subset"], graph
+            assert entry["spherical_subset"] == entry["amalgam"], graph
             if any(label != 2 for _, label in graph.edges()):
                 continue
-            entry = cache.entry(graph)
             if "graph_product" not in entry:
                 entry["graph_product"] = graph_product_check(entry["graph"])
             assert entry["graph_product"] == entry["subset"], graph

@@ -176,6 +176,7 @@ def test_check_passes_on_entire_corpus():
         code, out, err = invoke(["check", str(path)])
         assert code == 0, (path.stem, err)
         assert "strategy agreement: OK" in out
+        assert "spherical-subset sum: OK" in out
         assert "euler characteristic: OK" in out
 
 

@@ -1,5 +1,6 @@
 """Rational Euler characteristic: anchors, agreement, multiplicativity."""
 
+import importlib
 from fractions import Fraction
 
 from dyergrowth import DyerGraph, INFINITY
@@ -107,3 +108,24 @@ def test_values_are_exact_fractions():
     value = both(g)
     assert value == Fraction(1, 192)
     assert isinstance(value, Fraction)
+
+
+def test_recursive_route_builds_no_growth_series(corpus, monkeypatch):
+    names = [f"v{i}" for i in range(10)]
+    k10 = DyerGraph(
+        {v: 2 for v in names},
+        {(a, b): 3 for i, a in enumerate(names) for b in names[i + 1 :]},
+    )
+    graphs = [k10] + [corpus[name] for name in ("affine_triangle", "affine_c2", "cox_h3")]
+    expected = [euler_via_growth(g).value for g in graphs]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("euler_recursive used the growth engine")
+
+    euler_mod = importlib.import_module("dyergrowth.euler")
+    growth_mod = importlib.import_module("dyergrowth.growth")
+    monkeypatch.setattr(growth_mod.GrowthEngine, "series", forbidden)
+    for module in (euler_mod, growth_mod):
+        for name in ("GrowthEngine", "growth"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    assert [euler_recursive(g).value for g in graphs] == expected

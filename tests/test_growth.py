@@ -1,20 +1,29 @@
 """Growth series engine: formulas, strategies, derived series."""
 
+import importlib
+import random
+import time
+
 import pytest
 
 from dyergrowth import DyerGraph, INFINITY
 from dyergrowth.coxclassify import longest_length, to_diagram
+from dyergrowth.euler import euler_recursive
 from dyergrowth.growth import (
+    CrossCheckMismatch,
     GrowthEngine,
     Z_SERIES,
     amalgam_growth,
     bx_series,
     cyclic_growth,
+    finite_types,
     graph_product_check,
     growth,
     pd_series,
     spherical_growth,
     sphere_sizes,
+    spherical_subset_growth,
+    spherical_subsets,
     subset_recursion_growth,
 )
 from dyergrowth.oracle import Unsupported, bfs_census, build_oracle
@@ -133,6 +142,90 @@ def test_amalgam_complete_affine_triangle():
     assert series == subset_recursion_growth(g)
 
 
+# -- spherical-subset sum ---------------------------------------------------------------
+
+
+def complete_graph(n, label):
+    names = [f"v{i}" for i in range(n)]
+    return DyerGraph(
+        {v: 2 for v in names},
+        {(a, b): label for i, a in enumerate(names) for b in names[i + 1 :]},
+    )
+
+
+def test_spherical_subsets_of_label3_complete_graph():
+    # every triangle is the affine group of type A~2, so only the empty set,
+    # the vertices and the edges (type A2) are spherical
+    g = complete_graph(9, 3)
+    found = list(spherical_subsets(g, g.full_mask, {}))
+    assert sorted(clique.bit_count() for clique, _ in found) == [0] + [1] * 9 + [2] * 36
+    assert len({clique for clique, _ in found}) == 46
+    for clique, types in found:
+        assert types == finite_types(g, clique, {})
+
+
+def test_spherical_subsets_skip_non_cliques_and_keep_torsion():
+    g = DyerGraph({"x": 2, "y": 3, "z": INFINITY}, {("x", "y"): 2, ("y", "z"): 2})
+    found = {clique for clique, _ in spherical_subsets(g, g.full_mask, {})}
+    assert found == {0b000, 0b001, 0b010, 0b100, 0b011, 0b110}
+
+
+def test_spherical_subset_sum_affine_triangle():
+    g = complete_graph(3, 3)
+    a2 = RationalFunction(P(1, 1) * P(1, 1, 1))
+    # 1 - 3t/(1+t) + 3t^3/W_A2
+    expected_inverse = 1 - 3 * RF((0, 1), (1, 1)) + 3 * RF((0, 0, 0, 1)) / a2
+    assert spherical_subset_growth(g).inverse() == expected_inverse
+    assert spherical_subset_growth(g) == subset_recursion_growth(g)
+
+
+def random_dense_graph(rng, n):
+    """Mixed orders, labels 2-5, edge probability 0.7: dense enough that the
+    order-2 part of many complete subgraphs is an infinite Coxeter group."""
+    names = [f"v{i}" for i in range(n)]
+    orders = {v: rng.choice((2, 2, 2, 2, 3, 4, INFINITY)) for v in names}
+    edges = {}
+    for i, a in enumerate(names):
+        for b in names[i + 1 :]:
+            if rng.random() < 0.7:
+                braid = orders[a] == orders[b] == 2
+                edges[(a, b)] = rng.choice((2, 3, 3, 4, 5)) if braid else 2
+    return DyerGraph(orders, edges)
+
+
+def test_spherical_subset_sum_differential():
+    rng = random.Random(20231)
+    with_infinite_leaf = 0
+    for k in range(30):
+        n = 5 + k % 8
+        g = random_dense_graph(rng, n)
+        engine = GrowthEngine(g, "amalgam")
+        closed = spherical_subset_growth(g)
+        assert closed == engine.series(), g
+        if n <= 9:
+            assert closed == subset_recursion_growth(g), g
+        types = {}
+        v2mask = g._partition_masks()[0]
+        if any(
+            mask and not mask & ~v2mask and g.is_complete_mask(mask)
+            and finite_types(g, mask, types) is None
+            for mask in engine.memo
+        ):
+            with_infinite_leaf += 1
+    # the amalgam route reached its infinite complete order-2 leaf often
+    assert with_infinite_leaf >= 15
+
+
+def test_label3_complete_graph_is_fast():
+    g = complete_graph(12, 3)
+    start = time.perf_counter()
+    series = growth(g).series
+    chi = euler_recursive(g).value
+    elapsed = time.perf_counter() - start
+    assert chi == series.inverse().evaluate(1)
+    assert elapsed < 2.0, f"took {elapsed:.2f} s"
+
+
 # -- strategy wrapper -------------------------------------------------------------------
 
 
@@ -155,6 +248,24 @@ def test_growth_square_raag_cross_check():
     f2 = RF((1, 1), (1, -3))
     assert result.series == f2 * f2
     assert result.subsets_evaluated > 0
+
+
+def test_cross_check_runs_spherical_subset_sum(monkeypatch):
+    growth_mod = importlib.import_module("dyergrowth.growth")
+    g = complete_graph(4, 3)
+    assert growth(g, "cross_check").series == spherical_subset_growth(g)
+    monkeypatch.setattr(growth_mod, "spherical_subset_growth", lambda graph: RF((1, 1)))
+    with pytest.raises(CrossCheckMismatch) as info:
+        growth(g, "cross_check")
+    assert set(info.value.results) == {"subset", "amalgam", "spherical_subset"}
+
+
+def test_growth_method_names():
+    g = DyerGraph({"x": 2, "y": 2})
+    assert growth(g).method == growth(g, "amalgam").method == "amalgam"
+    assert growth(g, "cross_check").method == "amalgam"
+    assert growth(g, "subset").method == "subset"
+    assert growth(DyerGraph({"x": 2}), "subset").method == "spherical"
 
 
 def test_growth_rejects_unknown_strategy():
