@@ -14,27 +14,13 @@ import sys
 from . import oracle
 from .dyergraph import DyerGraph, GraphValidationError
 from .euler import euler_recursive, euler_via_growth
-from .growth import (
-    CrossCheckMismatch,
-    GrowthEngine,
-    amalgam_growth,
-    bx_series,
-    growth,
-    pd_series,
-    sphere_sizes,
-    spherical_subset_growth,
-    subset_recursion_growth,
-)
+from .growth import CrossCheckMismatch, GrowthEngine, bx_series, growth, pd_series, sphere_sizes
 from .ratfun import RationalFunction, format_terms
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_MISMATCH = 2
 EXIT_UNSUPPORTED = 3
-
-
-def render_plain(rf: RationalFunction) -> str:
-    return str(rf)
 
 
 def render_latex(rf: RationalFunction) -> str:
@@ -71,10 +57,6 @@ def render_json(rf: RationalFunction, method: str) -> str:
 
 def _load_graph(path) -> DyerGraph:
     return DyerGraph.from_file(path)
-
-
-def _format_value(value) -> str:
-    return str(value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,7 +100,7 @@ def _cmd_growth(args, out) -> int:
     strategy = args.method.replace("-", "_")
     result = growth(graph, strategy)
     if args.format == "plain":
-        print(render_plain(result.series), file=out)
+        print(result.series, file=out)
     elif args.format == "latex":
         print(render_latex(result.series), file=out)
     else:
@@ -153,16 +135,16 @@ def _cmd_spheres(args, out, err) -> int:
 def _cmd_euler(args, out, err) -> int:
     graph = _load_graph(args.file)
     if args.method == "growth":
-        print(_format_value(euler_via_growth(graph).value), file=out)
+        print(euler_via_growth(graph).value, file=out)
     elif args.method == "recursive":
-        print(_format_value(euler_recursive(graph).value), file=out)
+        print(euler_recursive(graph).value, file=out)
     else:
         a = euler_via_growth(graph).value
         b = euler_recursive(graph).value
         if a != b:
             print(f"error: Euler methods disagree: growth {a}, recursive {b}", file=err)
             return EXIT_MISMATCH
-        print(f"{_format_value(a)} (both methods agree)", file=out)
+        print(f"{a} (both methods agree)", file=out)
     return EXIT_OK
 
 
@@ -189,14 +171,13 @@ def _cmd_classify(args, out) -> int:
 def _cmd_bxseries(args, out) -> int:
     graph = _load_graph(args.file)
     names = [s for s in (part.strip() for part in args.subset.split(",")) if s]
-    series = bx_series(graph, names)
-    print(render_plain(series), file=out)
+    print(bx_series(graph, names), file=out)
     return EXIT_OK
 
 
 def _cmd_pd(args, out) -> int:
     graph = _load_graph(args.file)
-    print(render_plain(pd_series(graph)), file=out)
+    print(pd_series(graph), file=out)
     return EXIT_OK
 
 
@@ -204,18 +185,14 @@ def _cmd_check(args, out, err) -> int:
     graph = _load_graph(args.file)
     failures = []
 
-    sub = subset_recursion_growth(graph)
-    am = amalgam_growth(graph)
-    if sub == am:
-        print(f"strategy agreement: OK  G = {sub}", file=out)
+    try:
+        am = growth(graph, "cross_check").series
+    except CrossCheckMismatch as exc:
+        failures.append(str(exc))
+        am = exc.results["amalgam"]
     else:
-        failures.append(f"strategies disagree: subset {sub}, amalgam {am}")
-
-    closed = spherical_subset_growth(graph)
-    if closed == am:
+        print(f"strategy agreement: OK  G = {am}", file=out)
         print("spherical-subset sum: OK", file=out)
-    else:
-        failures.append(f"spherical-subset sum disagrees: {closed}")
 
     report = graph.classify()
     n = len(graph)

@@ -38,10 +38,13 @@ class DyerGraph:
 
     The declaration order of the vertices is kept and used for subset
     bitmasks and for deterministic tie-breaking in every algorithm downstream.
-    Instances are immutable once constructed; equality is identity.
+    Instances are immutable once constructed; equality is identity.  Each
+    instance memoizes the finite Coxeter types of its order-2 vertex subsets
+    (``finite_types``), so a subset is classified once however many routes
+    ask about it.
     """
 
-    __slots__ = ("vertices", "_orders", "_index", "_labels", "_adj")
+    __slots__ = ("vertices", "_orders", "_index", "_labels", "_adj", "_partition", "_types")
 
     def __init__(self, orders, edges=()):
         """Build and validate a graph.
@@ -109,13 +112,28 @@ class DyerGraph:
             adj[j] |= 1 << i
             int_labels[(i, j)] = label
 
+        vertex_orders = tuple(orders_by_name[n] for n in names)
+        m2 = mp = mi = 0
+        for i, order in enumerate(vertex_orders):
+            if order == 2:
+                m2 |= 1 << i
+            elif order == INFINITY:
+                mi |= 1 << i
+            else:
+                mp |= 1 << i
+
         object.__setattr__(self, "vertices", tuple(names))
-        object.__setattr__(self, "_orders", tuple(orders_by_name[n] for n in names))
+        object.__setattr__(self, "_orders", vertex_orders)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_labels", int_labels)
         object.__setattr__(self, "_adj", tuple(adj))
+        object.__setattr__(self, "_partition", (m2, mp, mi))
+        object.__setattr__(self, "_types", {})
 
     def __setattr__(self, name, value):
+        raise AttributeError("DyerGraph is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("DyerGraph is immutable")
 
     # -- basic queries ----------------------------------------------------
@@ -195,19 +213,9 @@ class DyerGraph:
     def vp_subset(self) -> "VertexSubset":
         return VertexSubset(self, self._partition_masks()[1])
 
-    def vinf_subset(self) -> "VertexSubset":
-        return VertexSubset(self, self._partition_masks()[2])
-
     def _partition_masks(self) -> tuple[int, int, int]:
-        m2 = mp = mi = 0
-        for i, order in enumerate(self._orders):
-            if order == 2:
-                m2 |= 1 << i
-            elif order == INFINITY:
-                mi |= 1 << i
-            else:
-                mp |= 1 << i
-        return m2, mp, mi
+        """Masks of the order-2, finite order > 2 and infinite-order vertices."""
+        return self._partition
 
     # -- derived graphs and classification ----------------------------------
 
@@ -241,15 +249,21 @@ class DyerGraph:
     def is_complete(self) -> bool:
         return self.is_complete_mask(self.full_mask)
 
+    def finite_types(self, v2mask: int):
+        """Finite Coxeter types of the order-2 vertices in ``v2mask``, or None
+        when they generate an infinite Coxeter group; memoized by mask."""
+        memo = self._types
+        if v2mask not in memo:
+            from . import coxclassify  # deferred; coxclassify builds on this module
+
+            memo[v2mask] = coxclassify.classify_finite(coxclassify.to_diagram(self.induced(v2mask)))
+        return memo[v2mask]
+
     def classify(self) -> "StructureReport":
         """Structural report: completeness, spherical type, finiteness."""
-        from . import coxclassify  # deferred; coxclassify builds on this module
-
-        m2, mp, mi = self._partition_masks()
+        m2, mp, mi = self._partition
         complete = self.is_complete
-        types = coxclassify.classify_finite(
-            coxclassify.to_diagram(self.induced(self.subset_from_mask(m2)))
-        )
+        types = self.finite_types(m2)
         spherical = complete and types is not None
         finite = spherical and mi == 0
         return StructureReport(
@@ -370,10 +384,6 @@ class VertexSubset:
     def __sub__(self, other: "VertexSubset") -> "VertexSubset":
         self._check_host(other)
         return VertexSubset(self.graph, self.mask & ~other.mask)
-
-    def issubset(self, other: "VertexSubset") -> bool:
-        self._check_host(other)
-        return self.mask & ~other.mask == 0
 
     def complement(self) -> "VertexSubset":
         return VertexSubset(self.graph, self.graph.full_mask & ~self.mask)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import prod
 
 from .dyergraph import DyerGraph, _bit_indices
-from .growth import finite_types, growth, spherical_subsets
+from .growth import growth, spherical_subsets
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,6 @@ def euler_via_growth(graph: DyerGraph) -> EulerResult:
 def euler_recursive(graph: DyerGraph) -> EulerResult:
     v2mask, vpmask, vinfmask = graph._partition_masks()
     memo: dict[int, Fraction] = {}
-    types_cache: dict[int, tuple | None] = {}
 
     def chi(mask: int) -> Fraction:
         cached = memo.get(mask)
@@ -53,7 +52,7 @@ def euler_recursive(graph: DyerGraph) -> EulerResult:
             if mask & vinfmask:
                 value = Fraction(0)
             else:
-                value = _chi_coxeter(graph, mask & v2mask, types_cache)
+                value = _chi_coxeter(graph, mask & v2mask)
                 for i in _bit_indices(mask & vpmask):
                     value /= graph.order_at(i)
         memo[mask] = value
@@ -62,13 +61,13 @@ def euler_recursive(graph: DyerGraph) -> EulerResult:
     return EulerResult(chi(graph.full_mask), "recursive")
 
 
-def _chi_coxeter(graph: DyerGraph, v2mask: int, types_cache: dict) -> Fraction:
+def _chi_coxeter(graph: DyerGraph, v2mask: int) -> Fraction:
     """Characteristic of the Coxeter group on a complete order-2 subgraph."""
-    types = finite_types(graph, v2mask, types_cache)
+    types = graph.finite_types(v2mask)
     if types is not None:
         return Fraction(1, prod(t.order for t in types))
     total = Fraction(0)
-    for clique, clique_types in spherical_subsets(graph, v2mask, types_cache):
+    for clique, clique_types in spherical_subsets(graph, v2mask):
         sign = -1 if clique.bit_count() % 2 else 1
         total += Fraction(sign, prod(t.order for t in clique_types))
     return total

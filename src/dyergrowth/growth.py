@@ -19,7 +19,9 @@ are provided and cross-checkable:
 
 All series are exact rational functions; parabolic results are memoized by
 vertex-subset bitmask of the ambient graph, which is sound because word
-length in a standard parabolic subgroup is intrinsic.
+length in a standard parabolic subgroup is intrinsic.  Every route reads the
+finite Coxeter types of an order-2 subset from ``DyerGraph.finite_types``,
+which classifies each subset once per graph.
 """
 
 from __future__ import annotations
@@ -67,23 +69,21 @@ def cyclic_growth(order) -> RationalFunction:
     return RationalFunction(Polynomial(coeffs))
 
 
-def finite_types(graph: DyerGraph, v2mask: int, cache: dict):
-    """Finite Coxeter types of the order-2 vertices in ``v2mask``, or None when
-    they generate an infinite group; ``cache`` keeps them by mask."""
-    if v2mask not in cache:
-        diagram = coxclassify.to_diagram(graph.induced(v2mask))
-        cache[v2mask] = coxclassify.classify_finite(diagram)
-    return cache[v2mask]
+def spherical_types(graph: DyerGraph, mask: int):
+    """Finite Coxeter types of the order-2 part of ``mask`` when the mask is
+    of spherical type, else None."""
+    if not graph.is_complete_mask(mask):
+        return None
+    return graph.finite_types(mask & graph._partition_masks()[0])
 
 
-def spherical_subsets(graph: DyerGraph, mask: int, cache: dict) -> Iterator[tuple[int, tuple]]:
+def spherical_subsets(graph: DyerGraph, mask: int) -> Iterator[tuple[int, tuple]]:
     """Every spherical subset T of ``mask``, the empty one included, with the
     finite Coxeter types of its order-2 part.
 
     Depth-first over the cliques, each grown by vertices above its largest
     one; a clique whose order-2 part is infinite is pruned with all its
     supersets, since a parabolic subgroup of a finite Coxeter group is finite.
-    ``cache`` is passed on to ``finite_types``.
     """
     v2mask = graph._partition_masks()[0]
     stack = [(0, mask, ())]  # clique, vertices that may extend it, types
@@ -94,7 +94,7 @@ def spherical_subsets(graph: DyerGraph, mask: int, cache: dict) -> Iterator[tupl
             grown = clique | (1 << j)
             grown_types = types
             if (v2mask >> j) & 1:
-                grown_types = finite_types(graph, grown & v2mask, cache)
+                grown_types = graph.finite_types(grown & v2mask)
                 if grown_types is None:
                     continue
             above = candidates & graph.adjacency_mask(j) & ~((2 << j) - 1)
@@ -117,16 +117,6 @@ class GrowthEngine:
         self.strategy = strategy
         self.memo: dict[int, RationalFunction] = {} if memo is None else memo
         self._v2mask, self._vpmask, self._vinfmask = graph._partition_masks()
-        self._types: dict[int, tuple | None] = {}
-
-    # -- structure helpers -------------------------------------------------
-
-    def _spherical_types(self, mask: int):
-        """Component types of the order-2 part when the mask is of spherical
-        type, else None."""
-        if not self.graph.is_complete_mask(mask):
-            return None
-        return finite_types(self.graph, mask & self._v2mask, self._types)
 
     # -- public API ----------------------------------------------------------
 
@@ -139,7 +129,7 @@ class GrowthEngine:
         if mask == 0:
             result = RF_ONE
         else:
-            types = self._spherical_types(mask)
+            types = spherical_types(self.graph, mask)
             if types is not None:
                 coxeter = RationalFunction(coxclassify.solomon_from_types(types))
                 result = self._product_series(mask, coxeter)
@@ -217,7 +207,7 @@ class GrowthEngine:
             return product
 
         total = RationalFunction(0)
-        for clique, types in spherical_subsets(graph, mask, self._types):
+        for clique, types in spherical_subsets(graph, mask):
             m2 = clique & v2mask
             term = coxeter_terms.get(m2)
             if term is None:
@@ -233,12 +223,9 @@ class GrowthEngine:
 
 def spherical_growth(graph: DyerGraph) -> RationalFunction:
     """Product-formula series; only defined for graphs of spherical type."""
-    engine = GrowthEngine(graph)
-    types = engine._spherical_types(graph.full_mask)
-    if types is None:
+    if spherical_types(graph, graph.full_mask) is None:
         raise ValueError("graph is not of spherical type")
-    coxeter = RationalFunction(coxclassify.solomon_from_types(types))
-    return engine._product_series(graph.full_mask, coxeter)
+    return GrowthEngine(graph).series()
 
 
 def spherical_subset_growth(graph: DyerGraph) -> RationalFunction:
@@ -284,7 +271,7 @@ def growth(graph: DyerGraph, strategy: str = "auto") -> GrowthResult:
         results["spherical_subset"] = spherical_subset_growth(graph)
         if len(set(results.values())) != 1:
             raise CrossCheckMismatch(results)
-    method = "spherical" if graph.classify().is_spherical else names[-1]
+    method = "spherical" if spherical_types(graph, graph.full_mask) is not None else names[-1]
     evaluated = sum(len(engine.memo) for engine in engines)
     return GrowthResult(results[names[-1]], method, evaluated)
 
@@ -308,26 +295,15 @@ def pd_series(graph: DyerGraph) -> RationalFunction:
     """Series of the elements that every generator power can shorten.
 
     Defined for spherical type only: t^(longest length of the order-2 part)
-    times one nontrivial-powers factor per finite-order vertex of order > 2,
-    times (2t/(1-t)) per infinite vertex.
+    times the series of the nontrivial powers, G_v - 1, of every vertex of
+    order other than 2 (2t/(1-t) for an infinite one).
     """
-    engine = GrowthEngine(graph)
-    types = engine._spherical_types(graph.full_mask)
+    types = spherical_types(graph, graph.full_mask)
     if types is None:
         raise ValueError("graph is not of spherical type")
-    m = sum(t.longest_length for t in types)
-    result = RationalFunction(Polynomial.monomial(m))
-    for i in _bit_indices(engine._vpmask):
-        order = graph.order_at(i)
-        r = order // 2
-        if order % 2 == 0:
-            factor = Polynomial([0] + [2] * (r - 1) + [1])
-        else:
-            factor = Polynomial([0] + [2] * r)
-        result = result * RationalFunction(factor)
-    l = engine._vinfmask.bit_count()
-    if l:
-        result = result * RationalFunction(Polynomial([0, 2]), Polynomial([1, -1])) ** l
+    result = RationalFunction(Polynomial.monomial(sum(t.longest_length for t in types)))
+    for i in _bit_indices(graph.full_mask & ~graph._partition_masks()[0]):
+        result = result * (cyclic_growth(graph.order_at(i)) - 1)
     return result
 
 

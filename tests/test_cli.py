@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import importlib
 import io
 import json
 
@@ -214,3 +215,18 @@ def test_euler_method_disagreement_exits_2(monkeypatch):
     code, _, err = invoke(["euler", corpus_path("z"), "--method", "both"])
     assert code == 2
     assert "disagree" in err
+
+
+def test_check_reports_strategy_mismatch(monkeypatch):
+    growth_mod = importlib.import_module("dyergrowth.growth")
+    monkeypatch.setattr(
+        growth_mod, "spherical_subset_growth", lambda graph: RationalFunction(7)
+    )
+    code, out, err = invoke(["check", corpus_path("raag_square")])
+    assert code == 2
+    assert "strategy agreement: OK" not in out
+    assert "spherical-subset sum: OK" not in out
+    for route in ("subset", "amalgam", "spherical_subset"):
+        assert f"{route}: " in err
+    # the later checks still run on the amalgam series
+    assert "euler characteristic: OK" in out

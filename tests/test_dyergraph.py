@@ -235,3 +235,15 @@ def test_completeness_matches_edge_count(corpus):
     for g in corpus.values():
         n = len(g)
         assert g.classify().is_complete == (len(g.edges()) == n * (n - 1) // 2)
+
+
+def test_graph_is_immutable():
+    g = DyerGraph({"x": 2, "y": 2}, {("x", "y"): 3})
+    g.classify()  # fills the classification memo
+    for name in DyerGraph.__slots__ + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(g, name, {})
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+    assert g.vertices == ("x", "y")
+    assert g.classify().coxeter_components == ("A2",)

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from dyergrowth import DyerGraph, INFINITY
+from dyergrowth import DyerGraph, INFINITY, corpus_files
 from dyergrowth.coxclassify import longest_length, to_diagram
 from dyergrowth.euler import euler_recursive
 from dyergrowth.growth import (
@@ -16,7 +16,6 @@ from dyergrowth.growth import (
     amalgam_growth,
     bx_series,
     cyclic_growth,
-    finite_types,
     graph_product_check,
     growth,
     pd_series,
@@ -157,16 +156,16 @@ def test_spherical_subsets_of_label3_complete_graph():
     # every triangle is the affine group of type A~2, so only the empty set,
     # the vertices and the edges (type A2) are spherical
     g = complete_graph(9, 3)
-    found = list(spherical_subsets(g, g.full_mask, {}))
+    found = list(spherical_subsets(g, g.full_mask))
     assert sorted(clique.bit_count() for clique, _ in found) == [0] + [1] * 9 + [2] * 36
     assert len({clique for clique, _ in found}) == 46
     for clique, types in found:
-        assert types == finite_types(g, clique, {})
+        assert types == g.finite_types(clique)
 
 
 def test_spherical_subsets_skip_non_cliques_and_keep_torsion():
     g = DyerGraph({"x": 2, "y": 3, "z": INFINITY}, {("x", "y"): 2, ("y", "z"): 2})
-    found = {clique for clique, _ in spherical_subsets(g, g.full_mask, {})}
+    found = {clique for clique, _ in spherical_subsets(g, g.full_mask)}
     assert found == {0b000, 0b001, 0b010, 0b100, 0b011, 0b110}
 
 
@@ -204,11 +203,10 @@ def test_spherical_subset_sum_differential():
         assert closed == engine.series(), g
         if n <= 9:
             assert closed == subset_recursion_growth(g), g
-        types = {}
         v2mask = g._partition_masks()[0]
         if any(
             mask and not mask & ~v2mask and g.is_complete_mask(mask)
-            and finite_types(g, mask, types) is None
+            and g.finite_types(mask) is None
             for mask in engine.memo
         ):
             with_infinite_leaf += 1
@@ -224,6 +222,36 @@ def test_label3_complete_graph_is_fast():
     elapsed = time.perf_counter() - start
     assert chi == series.inverse().evaluate(1)
     assert elapsed < 2.0, f"took {elapsed:.2f} s"
+
+
+@pytest.mark.parametrize("name", ["k9_label3", "sph_mixed_full", "affine_c2"])
+def test_each_order2_mask_is_classified_once(monkeypatch, name):
+    coxclassify_mod = importlib.import_module("dyergrowth.coxclassify")
+    if name == "k9_label3":
+        g = complete_graph(9, 3)
+    else:
+        g = DyerGraph.from_file(next(p for p in corpus_files() if p.stem == name))
+    classified = []
+    original = coxclassify_mod.classify_finite
+
+    def counting(diagram):
+        classified.append(frozenset(diagram.vertices))
+        return original(diagram)
+
+    monkeypatch.setattr(coxclassify_mod, "classify_finite", counting)
+    growth(g)
+    euler_recursive(g)
+    report = g.classify()
+    if report.is_spherical:
+        pd_series(g)
+        spherical_growth(g)
+    else:
+        for route in (pd_series, spherical_growth):
+            with pytest.raises(ValueError):
+                route(g)
+    assert classified
+    assert len(classified) == len(set(classified)), "a mask was classified twice"
+    assert len(classified) == len(g._types)
 
 
 # -- strategy wrapper -------------------------------------------------------------------
