@@ -185,8 +185,10 @@ def _cmd_check(args, out, err) -> int:
     graph = _load_graph(args.file)
     failures = []
 
+    # one amalgam engine serves the cross-check and every identity below
+    engine = GrowthEngine(graph)
     try:
-        am = growth(graph, "cross_check").series
+        am = growth(graph, "cross_check", engine).series
     except CrossCheckMismatch as exc:
         failures.append(str(exc))
         am = exc.results["amalgam"]
@@ -197,7 +199,6 @@ def _cmd_check(args, out, err) -> int:
     report = graph.classify()
     n = len(graph)
     sign = 1 if n % 2 else -1
-    engine = GrowthEngine(graph)
     alternating = engine._alternating_parabolic_sum(graph.full_mask)
     if report.is_spherical:
         lhs = (pd_series(graph) + sign) / am
@@ -234,7 +235,7 @@ def _cmd_check(args, out, err) -> int:
         if ok:
             print("minimality inversion identity: OK", file=out)
 
-    ev, er = euler_via_growth(graph).value, euler_recursive(graph).value
+    ev, er = am.inverse().evaluate(1), euler_recursive(graph).value
     if ev == er:
         print(f"euler characteristic: OK  chi = {ev}", file=out)
     else:
@@ -245,7 +246,7 @@ def _cmd_check(args, out, err) -> int:
         print(f"oracle census: unsupported ({model.reason})", file=out)
     else:
         depth = max(1, 6 - max(0, n - 2))
-        sizes = sphere_sizes(graph, depth)
+        sizes = am.taylor_coefficients(depth)
         census = oracle.bfs_census(model, depth)
         if list(census.spheres) == sizes:
             print(f"oracle census: MATCH up to radius {depth}", file=out)

@@ -337,12 +337,10 @@ class DyerGraph:
 
 
 def _bit_indices(mask: int) -> Iterator[int]:
-    i = 0
     while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)

@@ -213,9 +213,10 @@ class Polynomial:
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is ONE else result * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def exact_div(self, other: "Polynomial") -> "Polynomial":

@@ -230,3 +230,22 @@ def test_check_reports_strategy_mismatch(monkeypatch):
         assert f"{route}: " in err
     # the later checks still run on the amalgam series
     assert "euler characteristic: OK" in out
+
+
+def test_check_builds_one_amalgam_engine(monkeypatch):
+    growth_mod = importlib.import_module("dyergrowth.growth")
+    original = growth_mod.GrowthEngine.__init__
+    built = []
+
+    def counting(self, graph, strategy="amalgam"):
+        built.append(strategy)
+        original(self, graph, strategy)
+
+    monkeypatch.setattr(growth_mod.GrowthEngine, "__init__", counting)
+    code, out, _ = invoke(["check", corpus_path("mixed_4v")])
+    assert code == 0
+    assert "minimality inversion identity: OK" in out
+    # the cross-check, both identities, chi and the census share one
+    # amalgam engine; the subset route builds the other
+    assert built.count("amalgam") == 1
+    assert len(built) <= 3

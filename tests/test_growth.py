@@ -178,11 +178,12 @@ def test_spherical_subset_sum_affine_triangle():
     assert spherical_subset_growth(g) == subset_recursion_growth(g)
 
 
-def random_dense_graph(rng, n):
-    """Mixed orders, labels 2-5, edge probability 0.7: dense enough that the
-    order-2 part of many complete subgraphs is an infinite Coxeter group."""
+def random_dense_graph(rng, n, orders=(2, 2, 2, 2, 3, 4, INFINITY)):
+    """Vertex orders drawn from ``orders``, labels 2-5, edge probability 0.7:
+    dense enough that the order-2 part of many complete subgraphs is an
+    infinite Coxeter group."""
     names = [f"v{i}" for i in range(n)]
-    orders = {v: rng.choice((2, 2, 2, 2, 3, 4, INFINITY)) for v in names}
+    orders = {v: rng.choice(orders) for v in names}
     edges = {}
     for i, a in enumerate(names):
         for b in names[i + 1 :]:
@@ -212,6 +213,59 @@ def test_spherical_subset_sum_differential():
             with_infinite_leaf += 1
     # the amalgam route reached its infinite complete order-2 leaf often
     assert with_infinite_leaf >= 15
+
+
+def test_common_denominator_differential_wider_orders():
+    # orders 6-9 bring c_7 and c_9 and the [r]_t factors of even orders
+    # into the common denominator; the benchmark only has orders 2-5 and inf
+    rng = random.Random(8899)
+    seen_orders = set()
+    for k in range(20):
+        n = 6 + k % 7
+        g = random_dense_graph(rng, n, (2, 2, 2, 2, 3, 4, 5, 6, 7, 8, 9, INFINITY))
+        seen_orders.update(g.order(v) for v in g.vertices)
+        am = amalgam_growth(g)
+        assert am == spherical_subset_growth(g), g
+        if n <= 9:
+            assert am == subset_recursion_growth(g), g
+    assert {6, 7, 8, 9} <= seen_orders
+
+
+def test_amalgam_route_makes_no_gcd_in_its_inner_loop(monkeypatch):
+    ratfun_mod = importlib.import_module("dyergrowth.ratfun")
+    g = random_dense_graph(random.Random(1414), 14)
+    calls = []
+    original = ratfun_mod._poly_gcd
+
+    def counting(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(ratfun_mod, "_poly_gcd", counting)
+    engine = GrowthEngine(g)
+    series = engine.series()
+    assert len(engine.memo) > 100
+    # only the final reduction to canonical form may take a gcd
+    assert len(calls) <= 4, len(calls)
+    calls.clear()
+    assert amalgam_growth(g) == series
+    assert len(calls) <= 4, len(calls)
+
+
+def test_common_denominator_skips_subsets_of_large_cliques():
+    # K_30 on infinite vertices minus the edge v0-v1: the amalgam route has
+    # three spherical leaves (two K_29, one K_28); the denominator is fixed
+    # from them, not from their 2^29 spherical subsets
+    names = [f"v{i}" for i in range(30)]
+    edges = {(a, b): 2 for i, a in enumerate(names) for b in names[i + 1 :]}
+    del edges[("v0", "v1")]
+    g = DyerGraph({v: INFINITY for v in names}, edges)
+    start = time.perf_counter()
+    series = growth(g).series
+    elapsed = time.perf_counter() - start
+    z_inverse = Z_SERIES.inverse()
+    assert series.inverse() == 2 * z_inverse**29 - z_inverse**28
+    assert elapsed < 2.0, f"took {elapsed:.2f} s"
 
 
 def test_label3_complete_graph_is_fast():
@@ -301,13 +355,14 @@ def test_growth_rejects_unknown_strategy():
         growth(DyerGraph({"x": 2}), "magic")
 
 
-def test_engines_can_share_a_memo_table():
-    g = DyerGraph({"x": 2, "y": 2, "z": 3}, {("x", "y"): 3, ("y", "z"): 2})
-    memo = {}
-    a = subset_recursion_growth(g, memo)
-    b = amalgam_growth(g, memo)
-    assert a == b
-    assert memo[g.full_mask] == a
+def test_growth_reuses_only_an_amalgam_engine_of_the_graph():
+    g = DyerGraph({"x": 2, "y": 3})
+    engine = GrowthEngine(g)
+    assert growth(g, "cross_check", engine).series == growth(g).series
+    assert g.full_mask in engine.memo  # the caller's engine did the amalgam route
+    for other in (GrowthEngine(g, "subset"), GrowthEngine(DyerGraph({"x": 2, "y": 3}))):
+        with pytest.raises(ValueError):
+            growth(g, engine=other)
 
 
 # -- clique formula for graph products ------------------------------------------------
